@@ -603,8 +603,11 @@ impl Executor {
                 let results_mutex = &results_mutex;
                 scope.spawn(move || loop {
                     // Own work first (front), then steal from the back of
-                    // the other workers' deques.
-                    let job = lock_clean(&queues[me]).pop_front().or_else(|| {
+                    // the other workers' deques. The own lock is released
+                    // before stealing: holding it while locking a peer's
+                    // deque deadlocks two workers that run dry together.
+                    let own = lock_clean(&queues[me]).pop_front();
+                    let job = own.or_else(|| {
                         (0..queues.len())
                             .filter(|w| *w != me)
                             .find_map(|w| lock_clean(&queues[w]).pop_back())
@@ -692,7 +695,9 @@ impl Executor {
                 let pending = &pending;
                 let results_mutex = &results_mutex;
                 scope.spawn(move || loop {
-                    let job = lock_clean(&queues[me]).pop_front().or_else(|| {
+                    // Release the own lock before stealing (see above).
+                    let own = lock_clean(&queues[me]).pop_front();
+                    let job = own.or_else(|| {
                         (0..queues.len())
                             .filter(|w| *w != me)
                             .find_map(|w| lock_clean(&queues[w]).pop_back())

@@ -19,6 +19,8 @@ pub const NAME: &str = "hot-alloc";
 pub const HOT_DIRS: &[&str] = &[
     "crates/core/src/pipeline/",
     "crates/predictors/src/value/",
+    "crates/predictors/src/history.rs",
+    "crates/predictors/src/branch/",
     "crates/mem/src/",
 ];
 

@@ -36,6 +36,7 @@ impl Btb {
     ///
     /// Panics if `ways` is 0 or does not divide the (power-of-two rounded)
     /// entry count.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0);
         let n = entries.next_power_of_two().max(ways);

@@ -38,6 +38,7 @@ pub struct TageConfig {
 
 impl TageConfig {
     /// The paper's configuration: 1 + 12 components.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn paper() -> Self {
         TageConfig {
             base_entries: 4096,
@@ -85,6 +86,7 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if `history_lengths` is empty or not strictly ascending.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: TageConfig, seed: u64) -> Self {
         assert!(!config.history_lengths.is_empty());
         assert!(config.history_lengths.windows(2).all(|w| w[0] < w[1]));

@@ -20,6 +20,7 @@
 //!   deliberately dumb.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Typed decode error: the buffer does not describe a value compatible
 /// with the one being restored.
@@ -290,7 +291,7 @@ pub trait Snapshot {
 /// exact key set means a restored run and a replayed run hash, grow,
 /// and rehash identically from the restore point on.
 // lint:allow(hot-alloc) cold checkpoint-capture path; the sort buffer is per-snapshot
-pub fn put_map_u64_u32(w: &mut SnapWriter, map: &HashMap<u64, u32>) {
+pub fn put_map_u64_u32<S: BuildHasher>(w: &mut SnapWriter, map: &HashMap<u64, u32, S>) {
     let mut keys: Vec<u64> = map.keys().copied().collect();
     keys.sort_unstable();
     w.put_usize(keys.len());
@@ -307,7 +308,10 @@ pub fn put_map_u64_u32(w: &mut SnapWriter, map: &HashMap<u64, u32>) {
 /// # Errors
 ///
 /// Returns [`SnapError`] on truncation.
-pub fn get_map_u64_u32(r: &mut SnapReader<'_>, map: &mut HashMap<u64, u32>) -> Result<(), SnapError> {
+pub fn get_map_u64_u32<S: BuildHasher>(
+    r: &mut SnapReader<'_>,
+    map: &mut HashMap<u64, u32, S>,
+) -> Result<(), SnapError> {
     let n = r.get_usize()?;
     map.clear();
     for _ in 0..n {

@@ -35,10 +35,10 @@
 //! pipeline made before the refactor; the 209 pre-refactor golden
 //! fingerprints pin that.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::history::HistoryView;
-use crate::value::{AnyValuePredictor, DVtage, ValuePrediction, ValuePredictor};
+use crate::value::{AnyValuePredictor, DVtage, PcMap, ValuePrediction, ValuePredictor};
 
 /// Bytes per µ-op in trace addresses.
 const INST_BYTES: u64 = 4;
@@ -113,7 +113,7 @@ pub struct BlockVp {
     /// push/commit/squash via the `prev` links on [`SpecEntry`].
     /// Pre-sized to the window capacity, so steady-state inserts never
     /// rehash (the zero-allocation contract).
-    spec_last: HashMap<u64, (u64, Option<u64>)>,
+    spec_last: PcMap<(u64, Option<u64>)>,
     /// Last (cycle, block) the predictor was read for.
     last_access: Option<(u64, u64)>,
 }
@@ -128,7 +128,7 @@ impl BlockVp {
             backend,
             params,
             window: VecDeque::with_capacity(cap + 1),
-            spec_last: HashMap::with_capacity(cap + 1),
+            spec_last: PcMap::with_capacity_and_hasher(cap + 1, Default::default()),
             last_access: None,
         }
     }

@@ -21,7 +21,7 @@
 //!    *committed* last value is wrong whenever several instances of the
 //!    same µ-op are in flight. The [`BlockVp`](super::BlockVp) window
 //!    feeds the youngest in-flight predicted value in as `spec_last`;
-//!    [`DVtage::predict_spec`] itself never mutates anything, so squash
+//!    [`DVtage::predict_spec`] itself never mutates any table, so squash
 //!    recovery is exactly "drop the window entries" — the tables only
 //!    ever learn from committed state (the rollback property pinned by
 //!    the compat-proptest in `value/block.rs`).
@@ -31,7 +31,7 @@
 //! port sweeps care about.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, HistoryView};
+use crate::history::{hash_pc, FoldMemo, FoldSide, HistoryView, MemoSlot};
 use crate::rng::SimRng;
 use crate::value::{ValuePrediction, ValuePredictor};
 
@@ -147,6 +147,9 @@ pub struct DVtage {
     policy: FpcPolicy,
     rng: SimRng,
     updates: u64,
+    /// Per-position index and tag folds (invisible: equal to any other
+    /// memo, not snapshotted).
+    memo: FoldMemo,
 }
 
 impl DVtage {
@@ -184,6 +187,7 @@ impl DVtage {
                     slots: vec![DeltaSlot::default(); config.tagged_entries * b],
                 })
                 .collect(),
+            memo: FoldMemo::new(&config.history_lengths, 0x2d_0000, 0x9d_0000),
             config,
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
@@ -211,14 +215,17 @@ impl DVtage {
     }
 
     /// Banked row index: the block's bank is `block_number % banks`, the
-    /// row within the bank a hash over the remaining block bits.
+    /// row within the bank a hash over the remaining block bits. Block
+    /// span, `banks` and `entries` are powers of two, so shifts stand in
+    /// for the divisions.
     #[inline]
     fn banked_index(&self, bpc: u64, entries: usize, seed: u64) -> usize {
         let banks = self.config.banks;
-        let rows = entries / banks;
-        let block_num = bpc / (self.config.block_size as u64 * INST_BYTES);
+        let bank_bits = banks.trailing_zeros();
+        let rows = entries >> bank_bits;
+        let block_num = bpc >> (self.config.block_size as u64 * INST_BYTES).trailing_zeros();
         let bank = (block_num as usize) & (banks - 1);
-        let row = (hash_pc(block_num >> banks.trailing_zeros(), seed) as usize) & (rows - 1);
+        let row = (hash_pc(block_num >> bank_bits, seed) as usize) & (rows - 1);
         bank * rows + row
     }
 
@@ -232,23 +239,23 @@ impl DVtage {
         self.banked_index(bpc, self.config.base_entries, 0xd5e1)
     }
 
-    fn tagged_index(&self, comp: usize, bpc: u64, hist: HistoryView<'_>) -> usize {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x2d_0000 + comp as u64);
+    fn tagged_index(&mut self, comp: usize, bpc: u64, folds: MemoSlot<'_>) -> usize {
+        let folded = self.memo.index(folds, comp);
         self.banked_index(bpc ^ folded, self.config.tagged_entries, 0x6d7a + comp as u64)
     }
 
-    fn tag_for(&self, comp: usize, bpc: u64, hist: HistoryView<'_>) -> u32 {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x9d_0000 + comp as u64);
+    fn tag_for(&mut self, comp: usize, bpc: u64, folds: MemoSlot<'_>) -> u32 {
+        let folded = self.memo.tag(folds, comp);
         let bits = self.config.base_tag_bits + comp as u32;
         (hash_pc(bpc ^ folded.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
     }
 
     /// Longest matching tagged component for the block, if any.
-    fn provider(&self, bpc: u64, hist: HistoryView<'_>) -> Option<(usize, usize)> {
+    fn provider(&mut self, bpc: u64, folds: MemoSlot<'_>) -> Option<(usize, usize)> {
         for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, bpc, hist);
-            let m = &self.tagged[comp].meta[idx];
-            if m.valid && m.tag == self.tag_for(comp, bpc, hist) {
+            let idx = self.tagged_index(comp, bpc, folds);
+            let TaggedMeta { valid, tag, .. } = self.tagged[comp].meta[idx];
+            if valid && tag == self.tag_for(comp, bpc, folds) {
                 return Some((comp, idx));
             }
         }
@@ -286,10 +293,10 @@ impl DVtage {
     /// even while an erratic neighbor in the same fetch block churns
     /// low-confidence tagged entries over their shared tag.
     ///
-    /// **Never mutates** — rolling back speculation is the caller's
-    /// window drop, nothing here.
+    /// **Never mutates a table** (only the invisible fold memo) —
+    /// rolling back speculation is the caller's window drop, nothing here.
     pub fn predict_spec(
-        &self,
+        &mut self,
         pc: u64,
         hist: HistoryView<'_>,
         spec_last: Option<u64>,
@@ -299,7 +306,8 @@ impl DVtage {
             self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
         });
         let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
-        let ds = match self.provider(bpc, hist) {
+        let folds = self.memo.lookup(FoldSide::Fetch, hist);
+        let ds = match self.provider(bpc, folds) {
             Some((comp, idx)) => {
                 let tagged = self.tagged[comp].slots[idx * self.config.block_size + slot];
                 if tagged.conf.level() >= base.conf.level() {
@@ -325,7 +333,7 @@ impl DVtage {
         &mut self,
         provider: Option<(usize, usize)>,
         bpc: u64,
-        hist: HistoryView<'_>,
+        folds: MemoSlot<'_>,
         slot: usize,
         delta: i64,
     ) {
@@ -337,7 +345,7 @@ impl DVtage {
         let mut second: Option<(usize, usize)> = None;
         let mut free_count = 0usize;
         for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, bpc, hist);
+            let idx = self.tagged_index(comp, bpc, folds);
             if self.tagged[comp].meta[idx].useful == 0 {
                 free_count += 1;
                 if shortest.is_none() {
@@ -349,7 +357,7 @@ impl DVtage {
         }
         let Some(shortest) = shortest else {
             for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, bpc, hist);
+                let idx = self.tagged_index(comp, bpc, folds);
                 let m = &mut self.tagged[comp].meta[idx];
                 m.useful = m.useful.saturating_sub(1);
             }
@@ -360,7 +368,7 @@ impl DVtage {
         } else {
             shortest
         };
-        let tag = self.tag_for(comp, bpc, hist);
+        let tag = self.tag_for(comp, bpc, folds);
         let b = self.config.block_size;
         self.tagged[comp].meta[idx] = TaggedMeta { valid: true, tag, useful: 0 };
         for s in 0..b {
@@ -421,7 +429,8 @@ impl DVtage {
             correct
         };
         // Tagged (context) half: the longest match trains its own slot.
-        match self.provider(bpc, hist) {
+        let folds = self.memo.lookup(FoldSide::Commit, hist);
+        match self.provider(bpc, folds) {
             Some((comp, idx)) => {
                 let at = idx * b + slot;
                 let correct = self.tagged[comp].slots[at].delta == true_delta;
@@ -438,12 +447,12 @@ impl DVtage {
                     } else {
                         s.conf.on_incorrect();
                     }
-                    self.allocate_above(Some((comp, idx)), bpc, hist, slot, storable);
+                    self.allocate_above(Some((comp, idx)), bpc, folds, slot, storable);
                 }
             }
             None => {
                 if !base_correct {
-                    self.allocate_above(None, bpc, hist, slot, storable);
+                    self.allocate_above(None, bpc, folds, slot, storable);
                 }
             }
         }

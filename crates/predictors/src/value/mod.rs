@@ -44,7 +44,40 @@ pub use last_value::LastValue;
 pub use stride::{StridePredictor, TwoDeltaStride};
 pub use vtage::{Vtage, VtageConfig};
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::history::HistoryView;
+
+/// A map keyed by µ-op address, hashed with [`PcHasher`].
+pub(crate) type PcMap<V> = HashMap<u64, V, BuildHasherDefault<PcHasher>>;
+
+/// A small deterministic hasher for the per-µ-op in-flight maps: one
+/// folded 64×64→128-bit multiply, which spreads pc bits into both the low
+/// bits (bucket index) and the high bits (the table's control byte).
+/// These maps are only probed, never iterated in hash order (snapshots
+/// sort their keys), so the hasher cannot change any result.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(x ^ self.0) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A value prediction produced at fetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -14,12 +14,10 @@
 //! incremented at [`predict`](super::ValuePredictor::predict) and drained by
 //! `train`/`squash`.
 
-use std::collections::HashMap;
-
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{PcMap, ValuePrediction, ValuePredictor};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct StrideEntry {
@@ -36,7 +34,7 @@ pub struct StridePredictor {
     entries: Vec<StrideEntry>,
     policy: FpcPolicy,
     rng: SimRng,
-    inflight: HashMap<u64, u32>,
+    inflight: PcMap<u32>,
 }
 
 impl StridePredictor {
@@ -48,7 +46,7 @@ impl StridePredictor {
             entries: vec![StrideEntry::default(); n],
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            inflight: HashMap::new(),
+            inflight: PcMap::default(),
         }
     }
 
@@ -135,7 +133,7 @@ pub struct TwoDeltaStride {
     entries: Vec<TwoDeltaEntry>,
     policy: FpcPolicy,
     rng: SimRng,
-    inflight: HashMap<u64, u32>,
+    inflight: PcMap<u32>,
 }
 
 impl TwoDeltaStride {
@@ -152,7 +150,7 @@ impl TwoDeltaStride {
             entries: vec![TwoDeltaEntry::default(); n],
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            inflight: HashMap::new(),
+            inflight: PcMap::default(),
         }
     }
 

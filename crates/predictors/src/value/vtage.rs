@@ -15,7 +15,7 @@
 //! components, tags of `12 + rank` bits, FPC confidence.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, HistoryView};
+use crate::history::{hash_pc, FoldMemo, FoldSide, HistoryView, MemoSlot};
 use crate::rng::SimRng;
 use crate::value::{ValuePrediction, ValuePredictor};
 
@@ -70,6 +70,8 @@ pub struct Vtage {
     policy: FpcPolicy,
     rng: SimRng,
     updates: u64,
+    /// Per-position index and tag folds (invisible: not snapshotted).
+    memo: FoldMemo,
 }
 
 /// How often the usefulness bits decay (graceful aging, as in TAGE).
@@ -99,6 +101,7 @@ impl Vtage {
         Vtage {
             base: vec![BaseEntry::default(); base_n],
             tagged: vec![vec![TaggedEntry::default(); tagged_n]; comps],
+            memo: FoldMemo::new(&config.history_lengths, 0x1d_0000, 0x7a_0000),
             config,
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
@@ -110,30 +113,30 @@ impl Vtage {
         (hash_pc(pc, 0xb5e) as usize) & (self.base.len() - 1)
     }
 
-    fn tagged_index(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> usize {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x1d_0000 + comp as u64);
+    fn tagged_index(&mut self, comp: usize, pc: u64, folds: MemoSlot<'_>) -> usize {
+        let folded = self.memo.index(folds, comp);
         (hash_pc(pc ^ folded, 0x7a6e) as usize) & (self.tagged[comp].len() - 1)
     }
 
-    fn tag_for(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> u32 {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x7a_0000 + comp as u64);
+    fn tag_for(&mut self, comp: usize, pc: u64, folds: MemoSlot<'_>) -> u32 {
+        let folded = self.memo.tag(folds, comp);
         let bits = self.config.base_tag_bits + comp as u32;
         (hash_pc(pc ^ folded.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
     }
 
     /// Longest matching tagged component and its entry index, if any.
-    fn provider(&self, pc: u64, hist: HistoryView<'_>) -> Option<(usize, usize)> {
+    fn provider(&mut self, pc: u64, folds: MemoSlot<'_>) -> Option<(usize, usize)> {
         for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, pc, hist);
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_for(comp, pc, hist) {
+            let idx = self.tagged_index(comp, pc, folds);
+            let TaggedEntry { valid, tag, .. } = self.tagged[comp][idx];
+            if valid && tag == self.tag_for(comp, pc, folds) {
                 return Some((comp, idx));
             }
         }
         None
     }
 
-    fn allocate_above(&mut self, provider_comp: Option<usize>, pc: u64, hist: HistoryView<'_>, actual: u64) {
+    fn allocate_above(&mut self, provider_comp: Option<usize>, pc: u64, folds: MemoSlot<'_>, actual: u64) {
         let start = provider_comp.map(|c| c + 1).unwrap_or(0);
         if start >= self.tagged.len() {
             return;
@@ -145,7 +148,7 @@ impl Vtage {
         let mut second: Option<(usize, usize)> = None;
         let mut free_count = 0usize;
         for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, pc, hist);
+            let idx = self.tagged_index(comp, pc, folds);
             if self.tagged[comp][idx].useful == 0 {
                 free_count += 1;
                 if shortest.is_none() {
@@ -158,7 +161,7 @@ impl Vtage {
         let Some(shortest) = shortest else {
             // Aging: make room for the future instead of thrashing now.
             for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, pc, hist);
+                let idx = self.tagged_index(comp, pc, folds);
                 let e = &mut self.tagged[comp][idx];
                 e.useful = e.useful.saturating_sub(1);
             }
@@ -173,17 +176,28 @@ impl Vtage {
         };
         self.tagged[comp][idx] = TaggedEntry {
             valid: true,
-            tag: self.tag_for(comp, pc, hist),
+            tag: self.tag_for(comp, pc, folds),
             value: actual,
             conf: Fpc::new(),
             useful: 0,
         };
     }
 
-    /// True if any tagged component matches — used by the hybrid's
-    /// selection rule (tagged hit beats the stride side).
-    pub fn tagged_hit(&self, pc: u64, hist: HistoryView<'_>) -> bool {
-        self.provider(pc, hist).is_some()
+    /// The prediction, and whether a tagged component provided it — the
+    /// hybrid's selection rule lets a tagged hit beat the stride side. One
+    /// provider scan serves both.
+    pub(crate) fn predict_with_hit(&mut self, pc: u64, hist: HistoryView<'_>) -> (ValuePrediction, bool) {
+        let folds = self.memo.lookup(FoldSide::Fetch, hist);
+        match self.provider(pc, folds) {
+            Some((comp, idx)) => {
+                let e = &self.tagged[comp][idx];
+                (ValuePrediction::from_conf(e.value, e.conf), true)
+            }
+            None => {
+                let e = &self.base[self.base_index(pc)];
+                (ValuePrediction::from_conf(e.value, e.conf), false)
+            }
+        }
     }
 
     fn maybe_age_useful(&mut self) {
@@ -200,18 +214,13 @@ impl Vtage {
 
 impl ValuePredictor for Vtage {
     fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        if let Some((comp, idx)) = self.provider(pc, hist) {
-            let e = &self.tagged[comp][idx];
-            Some(ValuePrediction::from_conf(e.value, e.conf))
-        } else {
-            let e = &self.base[self.base_index(pc)];
-            Some(ValuePrediction::from_conf(e.value, e.conf))
-        }
+        Some(self.predict_with_hit(pc, hist).0)
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
         self.maybe_age_useful();
-        match self.provider(pc, hist) {
+        let folds = self.memo.lookup(FoldSide::Commit, hist);
+        match self.provider(pc, folds) {
             Some((comp, idx)) => {
                 let correct = self.tagged[comp][idx].value == actual;
                 if correct {
@@ -227,7 +236,7 @@ impl ValuePredictor for Vtage {
                     } else {
                         e.conf.on_incorrect();
                     }
-                    self.allocate_above(Some(comp), pc, hist, actual);
+                    self.allocate_above(Some(comp), pc, folds, actual);
                 }
             }
             None => {
@@ -242,7 +251,7 @@ impl ValuePredictor for Vtage {
                     } else {
                         self.base[bidx].conf.on_incorrect();
                     }
-                    self.allocate_above(None, pc, hist, actual);
+                    self.allocate_above(None, pc, folds, actual);
                 }
             }
         }
