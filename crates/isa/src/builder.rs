@@ -99,8 +99,11 @@ impl ProgramBuilder {
 
     /// Allocates `words` f64 values (as their bit patterns) as a data segment.
     pub fn add_data_f64(&mut self, values: &[f64]) -> u64 {
-        let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        self.add_data_u64(&words)
+        let mut bytes = Vec::with_capacity(values.len() * 8);
+        for v in values {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        self.add_data(bytes)
     }
 
     /// Reserves `len` zeroed bytes of address space (no segment is stored —

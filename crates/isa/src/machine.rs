@@ -1,9 +1,10 @@
 //! Functional (architectural) simulator.
 //!
 //! Executes a [`Program`] one instruction per step, producing the oracle
-//! values the timing model replays. Division by zero follows RISC-V
-//! semantics (quotient = all ones, remainder = dividend) so programs never
-//! trap.
+//! values the timing model replays. The machine borrows the program's
+//! instructions and copies only its data segments, into memory. Division
+//! by zero follows RISC-V semantics (quotient = all ones, remainder =
+//! dividend) so programs never trap.
 
 use crate::inst::{Inst, InstClass, Opcode};
 use crate::memory::SparseMemory;
@@ -33,10 +34,11 @@ pub struct StepInfo {
     pub halted: bool,
 }
 
-/// Architectural machine state.
+/// Architectural machine state, executing instructions borrowed from a
+/// [`Program`].
 #[derive(Clone, Debug)]
-pub struct Machine {
-    program: Program,
+pub struct Machine<'p> {
+    insts: &'p [Inst],
     int_regs: [u64; NUM_INT_REGS],
     fp_regs: [u64; NUM_FP_REGS],
     pc: u32,
@@ -45,15 +47,15 @@ pub struct Machine {
     retired: u64,
 }
 
-impl Machine {
+impl<'p> Machine<'p> {
     /// Loads `program` (instructions + data segments) into a fresh machine.
-    pub fn new(program: &Program) -> Self {
+    pub fn new(program: &'p Program) -> Self {
         let mut mem = SparseMemory::new();
         for seg in program.data() {
             mem.load_bytes(seg.base, &seg.bytes);
         }
         Machine {
-            program: program.clone(),
+            insts: program.insts(),
             int_regs: [0; NUM_INT_REGS],
             fp_regs: [0; NUM_FP_REGS],
             pc: program.entry(),
@@ -124,7 +126,7 @@ impl Machine {
             return Err(IsaError::PcOutOfRange(self.pc));
         }
         let pc = self.pc;
-        let inst = *self.program.inst(pc).ok_or(IsaError::PcOutOfRange(pc))?;
+        let inst = *self.insts.get(pc as usize).ok_or(IsaError::PcOutOfRange(pc))?;
         let s1 = inst.src1.map(|r| self.read(r)).unwrap_or(0);
         let s2 = inst.src2.map(|r| self.read(r)).unwrap_or(0);
         let imm = inst.imm;
@@ -276,7 +278,7 @@ impl Machine {
             }
             JmpR => {
                 info.taken = true;
-                if s1 >= self.program.len() as u64 {
+                if s1 >= self.insts.len() as u64 {
                     return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
                 }
                 info.next_pc = s1 as u32;
@@ -288,7 +290,7 @@ impl Machine {
             }
             CallR => {
                 info.taken = true;
-                if s1 >= self.program.len() as u64 {
+                if s1 >= self.insts.len() as u64 {
                     return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
                 }
                 dst_value = Some((pc + 1) as u64);
@@ -296,7 +298,7 @@ impl Machine {
             }
             Ret => {
                 info.taken = true;
-                if s1 >= self.program.len() as u64 {
+                if s1 >= self.insts.len() as u64 {
                     return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
                 }
                 info.next_pc = s1 as u32;
