@@ -661,6 +661,12 @@ impl CoreConfig {
         if self.issue_width == 0 || self.iq_entries == 0 || self.rob_entries == 0 {
             return Err(ConfigError::ZeroSize("issue width / IQ / ROB"));
         }
+        // Every µ-op completes at least one cycle after it issues: issue
+        // wakeup returns a producer's parked readers to the next cycle's
+        // scan, which a same-cycle L1D hit would outrun.
+        if self.mem.l1d.latency == 0 {
+            return Err(ConfigError::ZeroSize("L1D latency"));
+        }
         if !self.prf_banks.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo { field: "prf_banks", got: self.prf_banks });
         }
@@ -733,6 +739,13 @@ mod tests {
         let mut c = CoreConfig::baseline_6_64();
         c.eole = EoleConfig::full();
         assert_eq!(c.validate(), Err(ConfigError::EoleWithoutVp));
+    }
+
+    #[test]
+    fn zero_latency_l1d_is_rejected() {
+        let mut c = CoreConfig::baseline_6_64();
+        c.mem.l1d.latency = 0;
+        assert_eq!(c.validate(), Err(ConfigError::ZeroSize("L1D latency")));
     }
 
     #[test]

@@ -158,6 +158,11 @@ impl Simulator<'_> {
                 self.spec_rat[d.arch_flat as usize] = d.old;
                 self.prf.free(d.class, d.new);
             }
+            // A parked µ-op sleeps on one of its own sources: purge it
+            // now, before its seq is reused.
+            for s in e.srcs.iter().flatten() {
+                self.parked.purge(s.class, s.preg, first_bad);
+            }
             self.stats.squashed += 1;
         }
         self.iq.retain(|e| e.seq < first_bad);

@@ -7,7 +7,9 @@
 //! the per-group write budget lives in a reused scratch buffer and the IQ
 //! is compacted in place — and no O(n) window searches: ROB entries are
 //! addressed by sequence number, LQ/SQ entries through the slot id cached
-//! in [`RobEntry::lsq_slot`].
+//! in [`RobEntry::lsq_slot`]. Issue visits only entries that can act: a
+//! µ-op waiting on an unissued producer sleeps on that producer's
+//! register until it issues (see [`IqEntry`]).
 
 use eole_isa::{InstClass, RegClass};
 
@@ -61,7 +63,7 @@ impl Simulator<'_> {
             let le_branch = self.config.eole.late && fu.hc && cls == InstClass::Branch;
             let needs_iq =
                 !(ee || le_alu || le_branch || matches!(cls, InstClass::Jump | InstClass::Call));
-            if needs_iq && self.iq.len() >= self.config.iq_entries {
+            if needs_iq && self.iq.len() + self.parked.len() >= self.config.iq_entries {
                 self.stats.stall_iq_full += 1;
                 break;
             }
@@ -211,21 +213,6 @@ impl Simulator<'_> {
         self.rob.slot(seq)
     }
 
-    /// Source readiness as a wakeup bound: `Ok(())` when every source is
-    /// readable this cycle, otherwise `Err(wake)` — the earliest future
-    /// cycle worth re-examining this µ-op (`now + 1` while a producer has
-    /// not even issued yet; the known completion cycle afterwards).
-    fn srcs_wake(&self, e: &RobEntry) -> Result<(), u64> {
-        let now = self.cycle;
-        match self.srcs_known_ready_by(e) {
-            // Producer not issued: its completion is unknowable, but it
-            // cannot complete before next cycle.
-            None => Err(now + 1),
-            Some(t) if t <= now => Ok(()),
-            Some(t) => Err(t),
-        }
-    }
-
     /// Decides whether the load in LQ slot `lq_slot` (program counter
     /// `pc`) can go: `None` = wait, `Some(done_cycle)` = issue now.
     fn try_load(&mut self, lq_slot: u64, pc: u64) -> Option<u64> {
@@ -261,6 +248,32 @@ impl Simulator<'_> {
         Some(self.mem.load(pc, le.addr, now))
     }
 
+    /// Merges the µ-ops woken this cycle back into the scanned IQ, keeping
+    /// it in sequence order, with wake bound `wake`.
+    fn merge_woken(&mut self, wake: u64) {
+        let woken = &mut self.scratch.woken;
+        if woken.is_empty() {
+            return;
+        }
+        woken.sort_unstable();
+        // Merge from the back: the IQ grows in place (its capacity is the
+        // IQ size, which scanned plus parked entries never exceed).
+        let mut a = self.iq.len();
+        let mut b = woken.len();
+        self.iq.resize(a + b, IqEntry { seq: 0, wake: 0 });
+        while b > 0 {
+            let out = a + b - 1;
+            if a > 0 && self.iq[a - 1].seq > woken[b - 1] {
+                self.iq[out] = self.iq[a - 1];
+                a -= 1;
+            } else {
+                self.iq[out] = IqEntry { seq: woken[b - 1], wake };
+                b -= 1;
+            }
+        }
+        woken.clear();
+    }
+
     /// Returns `(violation_squash_happened, µ-ops issued)`.
     pub(super) fn do_issue(&mut self) -> (bool, usize) {
         let now = self.cycle;
@@ -271,12 +284,15 @@ impl Simulator<'_> {
         let mut fmul_used = 0usize;
         let mut mem_used = 0usize;
         let mut violation: Option<(u64, u64)> = None; // (load_seq, store_seq)
-        // In-place IQ compaction: entries that cannot issue this cycle are
-        // written back at `kept` (order preserved), the tail is truncated.
+        // In-place IQ compaction: entries that stay in the scanned IQ are
+        // written back at `kept` (order preserved); issued and parked
+        // entries leave it.
         let mut kept = 0usize;
+        let mut next = 0usize;
         let iq_len = self.iq.len();
-        for i in 0..iq_len {
-            let IqEntry { seq, wake } = self.iq[i];
+        while next < iq_len && issued < self.config.issue_width && violation.is_none() {
+            let IqEntry { seq, wake } = self.iq[next];
+            next += 1;
             macro_rules! keep {
                 ($wake:expr) => {{
                     self.iq[kept] = IqEntry { seq, wake: $wake };
@@ -284,16 +300,19 @@ impl Simulator<'_> {
                     continue;
                 }};
             }
-            if issued >= self.config.issue_width || violation.is_some() {
-                keep!(wake);
-            }
             // Wakeup filter: sources provably unreadable before `wake`.
             if wake > now {
                 keep!(wake);
             }
             let e = self.rob_entry(seq);
-            if let Err(wake) = self.srcs_wake(e) {
-                keep!(wake);
+            match self.srcs_known_ready_by(e) {
+                Ok(t) if t <= now => {}
+                Ok(t) => keep!(t),
+                // Producer not issued: sleep on its register until it does.
+                Err(src) => {
+                    self.parked.park(src.class, src.preg, seq);
+                    continue;
+                }
             }
             let class = e.class;
             let done = match class {
@@ -416,6 +435,7 @@ impl Simulator<'_> {
                     unreachable!("{class:?} never enters the IQ")
                 }
             };
+            debug_assert!(done > now, "woken readers rejoin the scan next cycle");
             issued += 1;
             let (dst, awaited) = {
                 let e = self.rob.slot_mut(seq);
@@ -424,6 +444,7 @@ impl Simulator<'_> {
             };
             if let Some(d) = dst {
                 self.prf.set_ready_min(d.class, d.new, done);
+                self.parked.wake(d.class, d.new, &mut self.scratch.woken);
             }
             if awaited && self.pending_redirect == Some(seq) {
                 // Mispredicted control µ-op resolves at `done`: fetch
@@ -433,7 +454,11 @@ impl Simulator<'_> {
                 self.last_fetch_line = u64::MAX;
             }
         }
-        self.iq.truncate(kept);
+        // Issue width or a violation ended selection: the unexamined tail
+        // keeps its place and its wake bounds.
+        self.iq.copy_within(next..iq_len, kept);
+        self.iq.truncate(kept + (iq_len - next));
+        self.merge_woken(now + 1);
 
         if let Some((load_seq, store_seq)) = violation {
             // Both µ-ops are still in flight: O(1) ROB lookups recover

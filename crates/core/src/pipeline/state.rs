@@ -14,7 +14,7 @@ use eole_predictors::value::{
     StridePredictor, TwoDeltaStride, Vtage, VtageTwoDeltaStride,
 };
 
-use super::window::SeqRing;
+use super::window::{ParkLists, SeqRing};
 use crate::config::{ConfigError, CoreConfig, ValuePredictorKind, VpConfig};
 use crate::prf::{PhysReg, Prf, NOT_READY};
 use crate::stats::SimStats;
@@ -200,18 +200,23 @@ impl RobEntry {
     }
 }
 
-/// One issue-queue entry: the µ-op's sequence number plus a cached
-/// wakeup bound.
+/// One scanned issue-queue entry: the µ-op's sequence number plus a
+/// cached wakeup bound.
 ///
-/// `wake` is a *sound lower bound* on the first cycle the µ-op's sources
-/// can all be readable, so the issue loop skips the operand check while
-/// `wake > now` without ever issuing late: a physical register's
-/// `ready_at` only transitions `NOT_READY → final cycle` while a reader
-/// sits in the IQ (`Prf::set_ready_min` at dispatch precedes the reader's
-/// rename; the later write at issue takes the minimum and cannot lower a
-/// known value further). Sources still `NOT_READY` leave `wake` at
-/// `now + 1` — re-examined every cycle until the producer issues, at
-/// which point the completion cycle becomes the bound.
+/// An IQ-bound µ-op is in exactly one of two places. While some source's
+/// producer has not issued, it is *parked* on that source's register
+/// ([`ParkLists`]) and the issue loop never looks at it. Otherwise it is
+/// an `IqEntry` in the scanned IQ, and `wake` is a *sound lower bound* on
+/// the first cycle its sources can all be readable, so the issue loop
+/// skips the operand check while `wake > now` without ever issuing late.
+/// Both rest on one fact: `Prf::set_ready_min` runs only at a producer's
+/// dispatch (before any reader is renamed) and at its issue, so the only
+/// `NOT_READY → known` change a waiting reader can see is its producer
+/// issuing, and a known value is never raised. `do_issue` therefore wakes
+/// a register's parked readers right after that call, back into the
+/// scanned IQ in sequence order with `wake = now + 1` (the producer
+/// completes no earlier). `wake == 0` marks an entry that was ready but
+/// lost functional-unit or memory arbitration.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct IqEntry {
     pub(super) seq: u64,
@@ -312,14 +317,18 @@ pub(super) struct Scratch {
     pub(super) ee_writes: Vec<[usize; 2]>,
     /// LE/VT read ports consumed per (bank, class) this commit group.
     pub(super) port_reads: Vec<[usize; 2]>,
+    /// Sequence numbers woken this issue cycle, merged back into the IQ
+    /// once selection ends (capacity: the IQ size).
+    pub(super) woken: Vec<u64>,
 }
 
 impl Scratch {
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
-    fn new(prf_banks: usize) -> Self {
+    fn new(prf_banks: usize, iq_entries: usize) -> Self {
         Scratch {
             ee_writes: vec![[0usize; 2]; prf_banks],
             port_reads: vec![[0usize; 2]; prf_banks],
+            woken: Vec::with_capacity(iq_entries),
         }
     }
 }
@@ -356,7 +365,10 @@ pub struct Simulator<'t> {
     // ROB slot ids coincide with sequence numbers (see `squash_from`);
     // LQ/SQ slot ids are cached in `RobEntry::lsq_slot`.
     pub(super) rob: SeqRing<RobEntry>,
+    // The IQ is split: `iq` holds the entries the issue loop scans (in
+    // sequence order), `parked` those waiting on an unissued producer.
     pub(super) iq: Vec<IqEntry>,
+    pub(super) parked: ParkLists,
     pub(super) lq: SeqRing<LoadEntry>,
     pub(super) sq: SeqRing<StoreEntry>,
     pub(super) store_sets: StoreSets,
@@ -422,6 +434,7 @@ impl<'t> Simulator<'t> {
             prev_group_cycle: u64::MAX,
             rob: SeqRing::new(config.rob_entries, RobEntry::vacant()),
             iq: Vec::with_capacity(config.iq_entries),
+            parked: ParkLists::new(config.int_prf, config.fp_prf, config.iq_entries),
             lq: SeqRing::new(config.lq_entries, LoadEntry::vacant()),
             sq: SeqRing::new(config.sq_entries, StoreEntry::vacant()),
             store_sets,
@@ -429,7 +442,7 @@ impl<'t> Simulator<'t> {
             muldiv_busy: vec![0; config.fu.int_muldiv],
             fpmuldiv_busy: vec![0; config.fu.fp_muldiv],
             mem: MemoryHierarchy::new(&config.mem),
-            scratch: Scratch::new(config.prf_banks),
+            scratch: Scratch::new(config.prf_banks, config.iq_entries),
             idle: false,
             commit_limit: u64::MAX,
             stats: SimStats::default(),
@@ -667,22 +680,23 @@ impl<'t> Simulator<'t> {
         self.stats.cycles += 1;
     }
 
-    /// Max `ready_at` over the µ-op's register sources, or `None` while
-    /// any source's readiness is still unknown (its producer has not
-    /// issued). THE readiness scan: `srcs_wake` (issue), `levt_complete`
-    /// (LE pre-commit), and `next_event` (fast-forward) all share it, so
-    /// a change to operand-readiness semantics cannot silently diverge
+    /// Max `ready_at` over the µ-op's register sources, or `Err(src)`
+    /// with the first source whose readiness is still unknown (its
+    /// producer has not issued). THE readiness scan: `do_issue` (which
+    /// parks the µ-op on the blocking source), `levt_complete` (LE
+    /// pre-commit), and `next_event` (fast-forward) all share it, so a
+    /// change to operand-readiness semantics cannot silently diverge
     /// between the stepping and skipping paths.
-    pub(super) fn srcs_known_ready_by(&self, e: &RobEntry) -> Option<u64> {
+    pub(super) fn srcs_known_ready_by(&self, e: &RobEntry) -> Result<u64, SrcReg> {
         let mut t = 0u64;
         for s in e.srcs.iter().flatten() {
             let r = self.prf.ready_at(s.class, s.preg);
             if r == NOT_READY {
-                return None;
+                return Err(*s);
             }
             t = t.max(r);
         }
-        Some(t)
+        Ok(t)
     }
 
     /// The earliest future cycle at which any stage could act again,
@@ -695,10 +709,10 @@ impl<'t> Simulator<'t> {
     /// * the ROB head completes at `done + levt_depth` (LE µ-ops: at
     ///   `dispatch + levt_depth` once their sources — produced by already
     ///   committed µ-ops, hence with known readiness — are readable);
-    /// * an IQ entry with a known wake bound issues no earlier than it;
-    ///   an entry still waiting on an *unissued* producer (wake pinned to
-    ///   "next cycle" by `srcs_wake`) cannot move before one of the other
-    ///   events fires first, so it contributes nothing;
+    /// * a scanned IQ entry with a known wake bound issues no earlier
+    ///   than it; a *parked* entry (waiting on an unissued producer)
+    ///   cannot move before one of the other events fires first, so it
+    ///   contributes nothing;
     /// * a ready entry blocked on an unpipelined divider waits for the
     ///   unit's busy-until cycle;
     /// * fetch resumes at `fetch_stall_until`; the front-queue head
@@ -716,7 +730,7 @@ impl<'t> Simulator<'t> {
         // Commit: the ROB head's completion.
         if let Some(e) = self.rob.front() {
             if e.le_alu || e.le_branch {
-                if let Some(ready) = self.srcs_known_ready_by(e) {
+                if let Ok(ready) = self.srcs_known_ready_by(e) {
                     let t = ready.max(e.dispatch_cycle + self.config.levt_depth());
                     if t > pre {
                         ev = ev.min(t);
@@ -730,22 +744,16 @@ impl<'t> Simulator<'t> {
             }
         }
         // Issue: known wakeups, and FU frees for ready-but-blocked entries.
+        // The idle step scanned every entry with `wake <= pre` (nothing
+        // issued, so selection never ended early) and parked those with
+        // an unissued producer, so every other wake is a known bound.
         let mut fu_blocked = false;
         for entry in &self.iq {
-            if entry.wake > pre && entry.wake != pre + 1 {
-                ev = ev.min(entry.wake);
-            } else if entry.wake == 0 {
+            if entry.wake == 0 {
                 fu_blocked = true;
             } else {
-                // `wake == pre + 1` is ambiguous: `srcs_wake` pins entries
-                // blocked on an *unissued* producer to "next cycle", and a
-                // genuinely known wake can also land there. Re-read the
-                // sources (unchanged during idle cycles) to tell them
-                // apart: any NOT_READY source means the entry only moves
-                // as a consequence of another event.
-                if let Some(t) = self.srcs_known_ready_by(self.rob.slot(entry.seq)) {
-                    ev = ev.min(t.max(pre + 1));
-                }
+                debug_assert!(entry.wake > pre, "idle step left a stale wake");
+                ev = ev.min(entry.wake);
             }
         }
         if fu_blocked {
@@ -810,6 +818,7 @@ impl std::fmt::Debug for Simulator<'_> {
             .field("committed", &self.total_committed)
             .field("rob", &self.rob.len())
             .field("iq", &self.iq.len())
+            .field("parked", &self.parked.len())
             .finish()
     }
 }

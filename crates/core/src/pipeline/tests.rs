@@ -256,3 +256,99 @@ fn calls_and_returns_flow_through() {
     // RAS should make returns nearly free after warmup.
     assert!(s.indirect_mispredicts < 5, "indirect mispredicts: {}", s.indirect_mispredicts);
 }
+
+/// IQ-bound µ-ops still waiting in the ROB: dispatched into the IQ and
+/// not yet issued. Each one is either scanned (`iq`) or parked.
+fn iq_bound_in_rob(sim: &Simulator<'_>) -> usize {
+    use eole_isa::InstClass;
+    sim.rob
+        .iter()
+        .filter(|e| {
+            !(e.ee || e.le_alu || e.le_branch || matches!(e.class, InstClass::Jump | InstClass::Call))
+                && e.done_cycle == crate::prf::NOT_READY
+        })
+        .count()
+}
+
+/// A dependence chain longer than the IQ parks behind loads that miss to
+/// DRAM, fills the IQ, and is then squashed through by a memory-order
+/// violation: a store whose address comes from the missing loads issues
+/// only when they return, after a younger load to the same address
+/// already ran. The squash must take every parked µ-op at or past the
+/// cut with it (their seqs are reused by the refetch), and scanned plus
+/// parked entries must account for every waiting IQ-bound µ-op at all
+/// times.
+#[test]
+fn parked_chain_is_purged_by_a_squash_and_refetched() {
+    const CHAIN: usize = 100;
+    // Serial cold loads 8 KiB apart: slow enough that the cold front end
+    // delivers the whole chain before the store address is known.
+    const HOPS: usize = 8;
+    const STRIDE: usize = 8192;
+    let mut words = vec![0u64; (HOPS + 1) * STRIDE / 8];
+    for hop in 0..HOPS {
+        words[hop * STRIDE / 8] = ((hop + 1) * STRIDE) as u64; // offset of the next hop
+    }
+    let mut b = ProgramBuilder::new();
+    let base = b.add_data_u64(&words);
+    let x = base + (HOPS * STRIDE) as u64;
+    b.movi(r(1), base as i64);
+    b.movi(r(7), x as i64);
+    b.movi(r(5), 42);
+    b.mov(r(2), r(1));
+    for _ in 0..HOPS {
+        b.ld(r(3), r(2), 0);
+        b.add(r(2), r(1), r(3));
+    }
+    // r2 = x, known only when the last miss returns.
+    b.st(r(2), 0, r(5));
+    b.ld(r(6), r(7), 0); // load from x: speculates past the store
+    b.addi(r(8), r(2), 1);
+    for _ in 1..CHAIN {
+        b.addi(r(8), r(8), 1); // parks on its predecessor's register
+    }
+    b.halt();
+    let trace = PreparedTrace::new(generate_trace(&b.build().unwrap(), 10_000).unwrap());
+    let config = CoreConfig::baseline_6_64();
+    let iq_entries = config.iq_entries;
+    assert!(CHAIN > iq_entries, "the chain must not fit the IQ");
+    let mut sim = Simulator::new(&trace, config).unwrap();
+
+    let mut full_with_parked = false;
+    let mut purged_parked = false;
+    while !sim.finished() {
+        let before = sim.stats;
+        let parked_before = sim.parked.seqs();
+        sim.step();
+        assert!(sim.cycle() < 100_000, "the kernel must drain");
+        assert_eq!(
+            sim.iq.len() + sim.parked.len(),
+            iq_bound_in_rob(&sim),
+            "scanned + parked must equal the waiting IQ-bound µ-ops at cycle {}",
+            sim.cycle()
+        );
+        if sim.stats.stall_iq_full > before.stall_iq_full {
+            assert_eq!(
+                sim.iq.len() + sim.parked.len(),
+                iq_entries,
+                "dispatch stalls on a full IQ at exactly its capacity"
+            );
+            full_with_parked |= sim.parked.len() > iq_entries / 2;
+        }
+        if sim.stats.memory_order_squashes > before.memory_order_squashes {
+            // No fetch ran after the squash: `next_seq` is the cut.
+            let cut = sim.next_seq;
+            purged_parked |= parked_before.iter().any(|&s| s >= cut);
+            assert!(
+                sim.parked.seqs().iter().all(|&s| s < cut),
+                "no parked µ-op at or past the cut {cut} survives the squash"
+            );
+            assert!(sim.iq.iter().all(|e| e.seq < cut));
+        }
+    }
+    assert!(full_with_parked, "the chain must fill the IQ with parked µ-ops");
+    assert_eq!(sim.stats.memory_order_squashes, 1, "one violation, then store sets hold");
+    assert!(purged_parked, "the squash must cut through parked µ-ops");
+    assert_eq!(sim.parked.len(), 0);
+    assert_eq!(sim.committed_total(), trace.len() as u64, "the refetched chain commits");
+}

@@ -18,6 +18,14 @@
 //! enter in seq order, and a squash rewinds `next_seq` in lock-step with
 //! `pop_back` (see `squash_from`), keeping the two aligned forever —
 //! the invariants `PERF.md` documents.
+//!
+//! [`ParkLists`] holds the issue-queue entries that wait on a producer
+//! that has not issued yet, one list per physical register, so the issue
+//! stage only scans entries that can act.
+
+use eole_isa::RegClass;
+
+use crate::prf::PhysReg;
 
 /// Fixed-capacity FIFO ring with O(1) positional and slot-id access.
 ///
@@ -137,7 +145,7 @@ impl<T: Copy> SeqRing<T> {
     /// retired — or beyond the back).
     #[inline]
     pub(super) fn slot(&self, slot: u64) -> &T {
-        debug_assert!(self.holds_slot(slot), "slot {slot} not live");
+        assert!(self.holds_slot(slot), "slot {slot} not live");
         let logical = (slot - self.front_slot) as usize;
         &self.buf[self.phys(logical)]
     }
@@ -145,7 +153,7 @@ impl<T: Copy> SeqRing<T> {
     /// O(1) mutable access by slot id (same contract as [`SeqRing::slot`]).
     #[inline]
     pub(super) fn slot_mut(&mut self, slot: u64) -> &mut T {
-        debug_assert!(self.holds_slot(slot), "slot {slot} not live");
+        assert!(self.holds_slot(slot), "slot {slot} not live");
         let logical = (slot - self.front_slot) as usize;
         let i = self.phys(logical);
         &mut self.buf[i]
@@ -164,6 +172,143 @@ impl<T: Copy> SeqRing<T> {
     pub(super) fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
         let (a, b) = self.as_slices();
         a.iter().chain(b.iter())
+    }
+}
+
+/// End of a list.
+const NIL: u32 = u32::MAX;
+
+/// Issue-queue entries parked on the physical register they wait for.
+///
+/// One singly-linked list per register (integer registers first, then
+/// FP), threaded through a slab of one node per IQ entry. The slab, the
+/// list heads and the free-node list are sized at construction, so
+/// parking, waking and purging never allocate.
+#[derive(Clone, Debug)]
+pub(super) struct ParkLists {
+    /// First FP register's list index: `int_regs`.
+    fp_base: usize,
+    /// First node of each register's list, or `NIL`.
+    heads: Box<[u32]>,
+    /// Per node: the next node of its list (or of the free list).
+    next: Box<[u32]>,
+    /// Per node: the parked µ-op's sequence number.
+    seqs: Box<[u64]>,
+    /// First free node, or `NIL`.
+    free: u32,
+    len: usize,
+}
+
+impl ParkLists {
+    /// Lists for `int_regs + fp_regs` registers over `capacity` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `capacity` is in `1..u32::MAX` (node ids are `u32`).
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
+    pub(super) fn new(int_regs: usize, fp_regs: usize, capacity: usize) -> Self {
+        assert!((1..NIL as usize).contains(&capacity), "park capacity {capacity} out of range");
+        let next = (1..=capacity)
+            .map(|n| if n == capacity { NIL } else { n as u32 })
+            .collect();
+        ParkLists {
+            fp_base: int_regs,
+            heads: vec![NIL; int_regs + fp_regs].into_boxed_slice(),
+            next,
+            seqs: vec![0; capacity].into_boxed_slice(),
+            free: 0,
+            len: 0,
+        }
+    }
+
+    /// Number of parked µ-ops.
+    #[inline]
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn list(&self, class: RegClass, preg: PhysReg) -> usize {
+        match class {
+            RegClass::Int => preg as usize,
+            RegClass::Fp => self.fp_base + preg as usize,
+        }
+    }
+
+    /// Parks µ-op `seq` on register `preg` of `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every node is in use — dispatch counts parked entries
+    /// against the IQ capacity, so a full slab means a broken invariant.
+    #[inline]
+    pub(super) fn park(&mut self, class: RegClass, preg: PhysReg, seq: u64) {
+        let n = self.free;
+        assert!(n != NIL, "ParkLists overflow: capacity {}", self.seqs.len());
+        let head = self.list(class, preg);
+        self.free = self.next[n as usize];
+        self.seqs[n as usize] = seq;
+        self.next[n as usize] = self.heads[head];
+        self.heads[head] = n;
+        self.len += 1;
+    }
+
+    /// Unparks every µ-op waiting on `preg` of `class`, appending its
+    /// sequence number to `out` (in no particular order).
+    #[inline]
+    pub(super) fn wake(&mut self, class: RegClass, preg: PhysReg, out: &mut Vec<u64>) {
+        let head = self.list(class, preg);
+        let mut n = std::mem::replace(&mut self.heads[head], NIL);
+        while n != NIL {
+            out.push(self.seqs[n as usize]);
+            n = self.release(n);
+        }
+    }
+
+    /// Drops every µ-op with sequence number `>= cut` parked on `preg`
+    /// of `class` (squash recovery: those seqs are about to be reused).
+    pub(super) fn purge(&mut self, class: RegClass, preg: PhysReg, cut: u64) {
+        let head = self.list(class, preg);
+        let mut prev = NIL;
+        let mut n = self.heads[head];
+        while n != NIL {
+            if self.seqs[n as usize] >= cut {
+                let next = self.release(n);
+                if prev == NIL {
+                    self.heads[head] = next;
+                } else {
+                    self.next[prev as usize] = next;
+                }
+                n = next;
+            } else {
+                prev = n;
+                n = self.next[n as usize];
+            }
+        }
+    }
+
+    /// Returns node `n` to the free list; yields its former successor.
+    #[inline]
+    fn release(&mut self, n: u32) -> u32 {
+        let next = self.next[n as usize];
+        self.next[n as usize] = self.free;
+        self.free = n;
+        self.len -= 1;
+        next
+    }
+
+    /// Every parked sequence number, list by list.
+    #[cfg(test)]
+    pub(super) fn seqs(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &h in self.heads.iter() {
+            let mut n = h;
+            while n != NIL {
+                out.push(self.seqs[n as usize]);
+                n = self.next[n as usize];
+            }
+        }
+        out
     }
 }
 
@@ -238,6 +383,60 @@ mod tests {
         assert_eq!(b, b2);
         assert_eq!(*r.slot(b2), 20);
         assert_eq!(r.next_slot(), b2 + 1);
+    }
+
+    /// `slot` checks liveness in every build profile: a retired slot id
+    /// must not silently read the recycled entry behind it.
+    #[test]
+    #[should_panic(expected = "slot 0 not live")]
+    fn retired_slot_panics() {
+        let mut r: SeqRing<u32> = SeqRing::new(2, 0);
+        r.push_back(1);
+        r.push_back(2);
+        r.pop_front();
+        r.push_back(3); // reuses the physical cell of slot 0
+        r.slot(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 2 not live")]
+    fn slot_past_the_tail_panics() {
+        let mut r: SeqRing<u32> = SeqRing::new(4, 0);
+        r.push_back(1);
+        r.push_back(2);
+        *r.slot_mut(2) = 7;
+    }
+
+    #[test]
+    fn park_wake_and_purge() {
+        let mut p = ParkLists::new(4, 4, 3);
+        p.park(RegClass::Int, 1, 10);
+        p.park(RegClass::Fp, 1, 11);
+        p.park(RegClass::Int, 1, 12);
+        assert_eq!(p.len(), 3);
+        // Int p1 and FP p1 are distinct lists.
+        p.purge(RegClass::Int, 1, 12);
+        assert_eq!(p.len(), 2);
+        let mut out = Vec::new();
+        p.wake(RegClass::Int, 1, &mut out);
+        assert_eq!(out, vec![10]);
+        out.clear();
+        p.wake(RegClass::Int, 1, &mut out);
+        assert!(out.is_empty(), "a woken list is empty");
+        // Freed nodes are reused.
+        p.park(RegClass::Int, 3, 20);
+        p.park(RegClass::Int, 3, 21);
+        let mut seqs = p.seqs();
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![11, 20, 21]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ParkLists overflow")]
+    fn park_overflow_panics() {
+        let mut p = ParkLists::new(2, 2, 1);
+        p.park(RegClass::Int, 0, 1);
+        p.park(RegClass::Int, 1, 2);
     }
 
     #[test]

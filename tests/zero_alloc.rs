@@ -16,6 +16,7 @@
 use alloc_counter::{count_allocations, CountingAllocator};
 use eole_core::config::CoreConfig;
 use eole_core::pipeline::{PreparedTrace, Simulator};
+use eole_core::stats::SimStats;
 use eole_isa::{generate_trace, IntReg, ProgramBuilder};
 
 #[global_allocator]
@@ -63,16 +64,60 @@ fn hot_loop_trace(iters: i64) -> PreparedTrace {
     PreparedTrace::new(generate_trace(&b.build().unwrap(), 2_000_000).unwrap())
 }
 
+/// A pointer chase over a 4 MiB cycle of 64-byte nodes in a scrambled
+/// order: twice the 2 MB L2, so every hop misses to DRAM and defeats the
+/// prefetcher. Each hop feeds a short dependent chain, so the IQ fills
+/// with µ-ops parked on registers whose producers have not issued, and
+/// the next hop's address waits on the previous hop's load.
+fn pointer_chase_trace(hops: i64) -> PreparedTrace {
+    const NODES: u64 = 1 << 16;
+    const NODE: u64 = 64;
+    let mut words = vec![0u64; (NODES * NODE / 8) as usize];
+    for i in 0..NODES {
+        // Full-period LCG over the node indices (c odd, a ≡ 1 mod 4): one
+        // cycle through every node. Each node holds its successor's offset.
+        let next = (i.wrapping_mul(0x9E37_79B5) + 12_345) % NODES;
+        words[(i * NODE / 8) as usize] = next * NODE;
+    }
+    let mut b = ProgramBuilder::new();
+    let base = b.add_data_u64(&words);
+    let (i, n, head, p, off, acc) = (r(1), r(2), r(3), r(4), r(5), r(6));
+    b.movi(i, 0);
+    b.movi(n, hops);
+    b.movi(head, base as i64);
+    b.mov(p, head);
+    b.movi(acc, 1);
+    let top = b.label();
+    b.bind(top);
+    b.ld(off, p, 0); // DRAM miss
+    b.add(p, head, off);
+    // Dependents of the missing load.
+    b.xor(acc, acc, off);
+    b.mul(acc, acc, acc);
+    b.addi(acc, acc, 3);
+    b.shri(acc, acc, 1);
+    b.addi(i, i, 1);
+    b.blt(i, n, top);
+    b.halt();
+    PreparedTrace::new(generate_trace(&b.build().unwrap(), 2_000_000).unwrap())
+}
+
 /// Warm the simulator, then assert that steady-state stepping allocates
 /// nothing at all.
 fn assert_zero_alloc_steady_state(config: CoreConfig) {
-    let trace = hot_loop_trace(100_000);
+    assert_zero_alloc_on(&hot_loop_trace(100_000), config);
+}
+
+/// [`assert_zero_alloc_steady_state`] on any trace; returns the counters
+/// before and after the steady-state window.
+fn assert_zero_alloc_on(trace: &PreparedTrace, config: CoreConfig) -> (SimStats, SimStats) {
     let name = config.name.clone();
-    let mut sim = Simulator::new(&trace, config).expect("preset is valid");
+    let mut sim = Simulator::new(trace, config).expect("preset is valid");
     // Warmup: caches, predictors, high-water marks (runs through the
     // production `run` path so its one-time lazy state initializes too).
     sim.run(60_000).expect("warmup");
     let committed_before = sim.committed_total();
+    let before = sim.stats();
     let (allocs, bytes) = count_allocations(|| {
         sim.run(40_000).expect("steady state");
     });
@@ -85,6 +130,27 @@ fn assert_zero_alloc_steady_state(config: CoreConfig) {
         (0, 0),
         "{name}: step() allocated in steady state ({allocs} allocations, {bytes} bytes)"
     );
+    (before, sim.stats())
+}
+
+/// Memory-bound steady state: the IQ is full of µ-ops parked behind DRAM
+/// misses, the MSHRs and DRAM banks are busy, and every cycle either
+/// wakes parked µ-ops or fast-forwards to the next fill.
+#[test]
+fn memory_bound_pipelines_step_without_allocating() {
+    let trace = pointer_chase_trace(20_000);
+    for config in [CoreConfig::baseline_6_64(), CoreConfig::eole_4_64()] {
+        let name = config.name.clone();
+        let (before, s) = assert_zero_alloc_on(&trace, config);
+        assert!(
+            s.stall_iq_full > before.stall_iq_full,
+            "{name}: the chase's dependents must fill the IQ"
+        );
+        assert!(
+            s.mem.l2.misses - before.mem.l2.misses > 4_000,
+            "{name}: every hop must miss the L2"
+        );
+    }
 }
 
 #[test]
